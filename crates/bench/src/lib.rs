@@ -4,7 +4,9 @@
 //! paper: it runs the simulation (or evaluates the analytic model), prints
 //! the same rows/series the paper reports, and annotates the paper's
 //! published values for comparison. `cargo bench --workspace` regenerates
-//! everything; see EXPERIMENTS.md for the paper-vs-measured record.
+//! everything; the paper-vs-measured record lives in the bench target
+//! headers, and every bench prints the paper's published values next to
+//! the simulated ones.
 
 use lambada_core::{
     run_exchange, ComputeCostModel, ExchangeConfig, ExchangeSide, Lambada, LambadaConfig, PartData,

@@ -45,17 +45,13 @@ use crate::message::{ResultPayload, WorkerMetrics, WorkerResult};
 use crate::scan::ScanConfig;
 use crate::sched::{self, SchedMode, StageBoard, WaitEvent};
 use crate::service::{ServiceConfig, WorkerGate};
-use crate::stage::{
-    self, AggMergeStage, FinalStage, PostOp, QueryDag, ScanStage, SortStage, SplitOptions,
-    StageKind, StageOutput,
-};
+use crate::stage::{self, FinalStage, PostOp, QueryDag, SplitOptions, StageKind, StageOutput};
 use crate::table::TableSpec;
 use crate::transport::{DirectTransport, ExchangeTransport, ObjectStoreTransport, TransportKind};
 use crate::verify::{self, FleetBounds};
 use crate::worker::{
-    register_worker_function, AggMergeShared, AggMergeTask, FragmentShared, FragmentTask,
-    JoinOutput, JoinShared, JoinTask, ScanExchangeShared, ScanExchangeTask, SortEdgeSpec,
-    SortShared, SortTask, WorkerPayload, WorkerTask,
+    register_worker_function, EdgeIn, EdgeOut, JoinInput, MergeInput, SortEdgeSpec, StageInput,
+    StageSink, StageTask, TableScan, WorkerPayload, WorkerTask,
 };
 
 /// How grouped aggregates are finalized.
@@ -429,6 +425,32 @@ struct BarrierProbe {
     senders: usize,
 }
 
+/// What lowering a stage needs to know about the rest of its query, all
+/// fixed before the first stage launches.
+struct QueryWiring<'a> {
+    qid: u64,
+    dag: &'a QueryDag,
+    /// The policy's contention clamp on scan fleets.
+    fleet_cap: Option<usize>,
+    planned_workers: &'a [usize],
+    /// Partition count each stage shards its output into (= its consumer
+    /// fleet's size; 0 for the driver-bound stage).
+    consumer_parts: &'a [usize],
+    /// The sort edge each stage feeds, if any.
+    sort_edges: &'a [Option<SortEdgeSpec>],
+    transport: &'a Rc<dyn ExchangeTransport>,
+}
+
+/// One stage's fleet, ready to launch once its wait events fire.
+struct Fleet {
+    sid: usize,
+    result_queue: String,
+    payloads: Vec<WorkerPayload>,
+    /// Set when the fleet synchronizes on a sort-sample barrier.
+    barrier: Option<BarrierProbe>,
+    waits: Vec<WaitEvent>,
+}
+
 /// Result of one stage's fleet: the collected worker reports plus timing.
 struct StageRun {
     results: Vec<WorkerResult>,
@@ -722,55 +744,19 @@ impl Lambada {
         // invocation, and result queues are created only after *all*
         // payloads built without error so a planning failure cannot
         // leak one.
+        let wiring = QueryWiring {
+            qid,
+            dag,
+            fleet_cap: policy.fleet_cap,
+            planned_workers: &planned_workers,
+            consumer_parts: &consumer_parts,
+            sort_edges: &sort_edges,
+            transport: &transport,
+        };
         let mut staged: Vec<(String, Vec<WorkerPayload>)> = Vec::with_capacity(dag.stages.len());
-        for (sid, kind) in dag.stages.iter().enumerate() {
+        for sid in 0..dag.stages.len() {
             let result_queue = format!("lambada-results-x{}-q{qid}-s{sid}", self.instance);
-            let payloads = match kind {
-                StageKind::Scan(scan) => self.scan_stage_payloads(
-                    qid,
-                    sid,
-                    scan,
-                    policy.fleet_cap,
-                    consumer_parts[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &result_queue,
-                )?,
-                StageKind::Join(join) => self.join_stage_payloads(
-                    qid,
-                    sid,
-                    join,
-                    planned_workers[sid],
-                    consumer_parts[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &planned_workers,
-                    &result_queue,
-                )?,
-                StageKind::AggMerge(agg) => self.agg_stage_payloads(
-                    qid,
-                    sid,
-                    agg,
-                    planned_workers[sid],
-                    sort_edges[sid].clone(),
-                    &transport,
-                    &planned_workers,
-                    &result_queue,
-                    // Last stage under a carry final stage: the merge
-                    // fleet re-emits unfinalized state for the driver to
-                    // carry across micro-batches.
-                    sid == dag.stages.len() - 1
-                        && matches!(dag.final_stage, FinalStage::CarryAggState { .. }),
-                )?,
-                StageKind::Sort(sort) => self.sort_stage_payloads(
-                    qid,
-                    sort,
-                    planned_workers[sid],
-                    &planned_workers,
-                    &transport,
-                    &result_queue,
-                ),
-            };
+            let payloads = self.lower_stage(&wiring, sid, &result_queue)?;
             staged.push((result_queue, payloads));
         }
 
@@ -797,13 +783,9 @@ impl Lambada {
             handles.push(self.cloud.handle.spawn(run_fleet(
                 self.cloud.clone(),
                 self.config.clone(),
-                result_queue,
-                payloads,
                 policy.gate.clone(),
-                barrier,
-                plan.waits[sid].clone(),
                 Rc::clone(&board),
-                sid,
+                Fleet { sid, result_queue, payloads, barrier, waits: plan.waits[sid].clone() },
             )));
         }
         // On failure the board's failed flag stands the unlaunched
@@ -975,304 +957,128 @@ impl Lambada {
         self.planned_workers(dag, None)
     }
 
-    /// Build one scan stage's worker payloads. `fleet_cap` is the
-    /// policy's contention clamp (the file chunking must agree with
-    /// [`Lambada::planned_workers`], so both call [`scan_partitioning`]).
-    /// `partitions` is the consumer fleet's size for exchange-bound
-    /// stages (how many ways to shard the output), unused for
-    /// driver-bound stages. `sort_edge` is set when the consumer is a
-    /// sort stage.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_stage_payloads(
+    /// Lower stage `sid` into its fleet's payloads, one [`StageTask`] per
+    /// worker: the stage's input (this worker's table files, or the
+    /// in-edges it owns co-partition `p` of), its pipeline with the
+    /// planner's placeholder terminal swapped for the sized sharding one,
+    /// and the sink its output leaves through. Scan fleets chunk files
+    /// with [`scan_partitioning`], exactly as [`Lambada::planned_workers`]
+    /// counted them.
+    fn lower_stage(
         &self,
-        qid: u64,
+        q: &QueryWiring<'_>,
         sid: usize,
-        scan: &ScanStage,
-        fleet_cap: Option<usize>,
-        partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
         result_queue: &str,
     ) -> Result<Vec<WorkerPayload>> {
-        let spec = self.table_spec(&scan.table)?;
-        // One worker per F files (§5.2: W = #files / F), rebalanced when
-        // the policy's fleet cap binds.
-        let (f, _) = scan_partitioning(spec.files.len(), self.config.files_per_worker, fleet_cap);
-        let fragment = FragmentShared {
-            base_schema: spec.schema.clone(),
-            scan_columns: scan.scan_columns.clone(),
-            prune_predicate: scan.prune_predicate.clone(),
-            pipeline: scan.pipeline.clone(),
-            scan: self.config.scan,
-            result_bucket: self.config.result_bucket.clone(),
+        let kind = &q.dag.stages[sid];
+        let edge_in = |input: usize| EdgeIn {
+            channel: self.channel(q.qid, input),
+            senders: q.planned_workers[input],
+            transport: Rc::clone(q.transport),
         };
-        let mut payloads = Vec::new();
-        match &scan.output {
-            StageOutput::Driver => {
-                let shared = Rc::new(fragment);
-                for (wid, chunk) in spec.files.chunks(f).enumerate() {
-                    payloads.push(WorkerPayload {
-                        worker_id: wid as u64,
-                        attempt: 0,
-                        query: qid,
-                        task: WorkerTask::Fragment(FragmentTask {
-                            shared: Rc::clone(&shared),
-                            files: chunk.to_vec(),
-                        }),
-                        children: Vec::new(),
-                        result_queue: result_queue.to_string(),
-                    });
-                }
+        let edge_out =
+            || EdgeOut { channel: self.channel(q.qid, sid), transport: Rc::clone(q.transport) };
+        let sink = match kind.output() {
+            StageOutput::Driver
+                if matches!(q.dag.final_stage, FinalStage::CarryAggState { .. }) =>
+            {
+                StageSink::Carry
             }
-            output => {
-                // Swap the planner's placeholder terminal for the
-                // sharding variant, now that the consumer fleet is sized.
-                // (Sort-exchange stages keep their SortPartition terminal
-                // — range counts live in the edge spec, not the terminal.)
-                let mut fragment = fragment;
-                let terminal = match (output, &fragment.pipeline.terminal) {
-                    (StageOutput::Exchange { keys }, _) => {
-                        Terminal::HashPartition { keys: keys.clone(), partitions }
-                    }
-                    (StageOutput::AggExchange, Terminal::PartialAggregate { group_by, aggs }) => {
-                        Terminal::PartitionedAggregate {
-                            group_by: group_by.clone(),
-                            aggs: aggs.clone(),
-                            partitions,
-                        }
-                    }
-                    (StageOutput::AggExchange, other) => {
-                        return Err(CoreError::Engine(format!(
-                        "agg-exchange scan stage needs a partial-aggregate terminal, got {other:?}"
-                    )))
-                    }
-                    (StageOutput::SortExchange, t @ Terminal::SortPartition { .. }) => t.clone(),
-                    (StageOutput::SortExchange, other) => {
-                        return Err(CoreError::Engine(format!(
-                            "sort-exchange scan stage needs a sort-partition terminal, got \
-                             {other:?}"
-                        )))
-                    }
-                    (StageOutput::Driver, _) => unreachable!("handled above"),
-                };
-                if matches!(output, StageOutput::SortExchange) && sort_edge.is_none() {
-                    return Err(CoreError::Engine(
-                        "sort-exchange scan stage has no consumer sort stage".to_string(),
-                    ));
-                }
-                fragment.pipeline = PipelineSpec { terminal, ..fragment.pipeline };
-                let shared = Rc::new(ScanExchangeShared {
-                    fragment,
-                    channel: self.channel(qid, sid),
-                    transport: Rc::clone(transport),
-                    sort: sort_edge,
+            StageOutput::Driver => StageSink::Driver {
+                bucket: self.config.result_bucket.clone(),
+                prefix: format!("results/{}", self.channel(q.qid, sid)),
+            },
+            StageOutput::Exchange { .. } | StageOutput::AggExchange => StageSink::Edge(edge_out()),
+            StageOutput::SortExchange => {
+                let edge = q.sort_edges[sid].clone().ok_or_else(|| {
+                    CoreError::Engine(format!("stage {sid} feeds a sort edge no sort stage reads"))
+                })?;
+                StageSink::Sort { out: edge_out(), edge }
+            }
+        };
+        // Consumer stages read rows the planner knows only by schema; their
+        // pipeline is the identity into a collect or sort terminal.
+        let identity = |input_schema, terminal| PipelineSpec {
+            input_schema,
+            predicate: None,
+            projection: None,
+            terminal,
+        };
+        let workers = q.planned_workers[sid];
+        let parts = q.consumer_parts[sid];
+        let (inputs, pipeline) = match kind {
+            StageKind::Scan(scan) => {
+                let spec = self.table_spec(&scan.table)?;
+                // One worker per F files (§5.2: W = #files / F), rebalanced
+                // when the policy's fleet cap binds.
+                let (f, _) =
+                    scan_partitioning(spec.files.len(), self.config.files_per_worker, q.fleet_cap);
+                let table = Rc::new(TableScan {
+                    base_schema: spec.schema.clone(),
+                    scan_columns: scan.scan_columns.clone(),
+                    prune_predicate: scan.prune_predicate.clone(),
+                    scan: self.config.scan,
                 });
-                for (wid, chunk) in spec.files.chunks(f).enumerate() {
-                    payloads.push(WorkerPayload {
-                        worker_id: wid as u64,
-                        attempt: 0,
-                        query: qid,
-                        task: WorkerTask::ScanExchange(ScanExchangeTask {
-                            shared: Rc::clone(&shared),
-                            files: chunk.to_vec(),
-                        }),
-                        children: Vec::new(),
-                        result_queue: result_queue.to_string(),
-                    });
-                }
+                let inputs: Vec<StageInput> = spec
+                    .files
+                    .chunks(f)
+                    .map(|chunk| StageInput::Table {
+                        scan: Rc::clone(&table),
+                        files: chunk.to_vec(),
+                    })
+                    .collect();
+                (inputs, sized_pipeline(&scan.pipeline, &scan.output, parts)?)
             }
-        }
-        Ok(payloads)
-    }
-
-    /// Build the join fleet's payloads: worker `p` handles co-partition
-    /// `p` of both exchange edges. `out_partitions` is the consumer
-    /// fleet's size when the join feeds another stage (a parent join's
-    /// row exchange, an agg-merge fleet, or a sort fleet).
-    #[allow(clippy::too_many_arguments)]
-    fn join_stage_payloads(
-        &self,
-        qid: u64,
-        sid: usize,
-        join: &crate::stage::JoinStage,
-        partitions: usize,
-        out_partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
-        planned_workers: &[usize],
-        result_queue: &str,
-    ) -> Result<Vec<WorkerPayload>> {
-        // Like the scan stages, the post pipeline's terminal is patched
-        // once the consumer fleet is sized.
-        let (post, output) = match &join.output {
-            StageOutput::Driver => (join.post.clone(), JoinOutput::Driver),
-            StageOutput::Exchange { keys } => {
-                // Nested join: rows leave on a hash-partitioned edge
-                // feeding the parent join, exactly like a scan stage's.
-                if !matches!(join.post.terminal, Terminal::Collect) {
-                    return Err(CoreError::Engine(format!(
-                        "row-exchange join stage needs a collect terminal, got {:?}",
-                        join.post.terminal
-                    )));
-                }
-                let post = PipelineSpec {
-                    terminal: Terminal::HashPartition {
-                        keys: keys.clone(),
-                        partitions: out_partitions,
-                    },
-                    ..join.post.clone()
-                };
-                (post, JoinOutput::Exchange { channel: self.channel(qid, sid) })
+            StageKind::Join(j) => {
+                let input = StageInput::Join(Rc::new(JoinInput {
+                    probe: edge_in(j.probe_input),
+                    build: edge_in(j.build_input),
+                    probe_schema: j.probe_schema.clone(),
+                    build_schema: j.build_schema.clone(),
+                    probe_keys: j.probe_keys.clone(),
+                    build_keys: j.build_keys.clone(),
+                    variant: j.variant,
+                }));
+                (vec![input; workers], sized_pipeline(&j.post, &j.output, parts)?)
             }
-            StageOutput::AggExchange => {
-                let Terminal::PartialAggregate { group_by, aggs } = &join.post.terminal else {
-                    return Err(CoreError::Engine(format!(
-                        "agg-exchange join stage needs a partial-aggregate terminal, got {:?}",
-                        join.post.terminal
-                    )));
+            StageKind::AggMerge(a) => {
+                let input = StageInput::AggShards(Rc::new(MergeInput {
+                    edge: edge_in(a.input),
+                    funcs: a.funcs.clone(),
+                }));
+                // A sort fleet above takes the finalized groups as a
+                // locally sorted, top-k-truncated run.
+                let terminal = match &sink {
+                    StageSink::Sort { edge, .. } => {
+                        Terminal::SortPartition { keys: edge.keys.clone(), limit: edge.limit }
+                    }
+                    _ => Terminal::Collect,
                 };
-                let post = PipelineSpec {
-                    terminal: Terminal::PartitionedAggregate {
-                        group_by: group_by.clone(),
-                        aggs: aggs.clone(),
-                        partitions: out_partitions,
-                    },
-                    ..join.post.clone()
-                };
-                (post, JoinOutput::AggExchange { channel: self.channel(qid, sid) })
+                (vec![input; workers], identity(a.agg_schema.clone(), terminal))
             }
-            StageOutput::SortExchange => {
-                if !matches!(join.post.terminal, Terminal::SortPartition { .. }) {
-                    return Err(CoreError::Engine(format!(
-                        "sort-exchange join stage needs a sort-partition terminal, got {:?}",
-                        join.post.terminal
-                    )));
-                }
-                let edge = sort_edge.ok_or_else(|| {
-                    CoreError::Engine(
-                        "sort-exchange join stage has no consumer sort stage".to_string(),
-                    )
-                })?;
-                (
-                    join.post.clone(),
-                    JoinOutput::SortExchange { channel: self.channel(qid, sid), edge },
-                )
+            StageKind::Sort(s) => {
+                let input = StageInput::Rows(Rc::new(edge_in(s.input)));
+                let terminal = Terminal::SortPartition { keys: s.keys.clone(), limit: s.limit };
+                (vec![input; workers], identity(s.schema.clone(), terminal))
             }
         };
-        let shared = Rc::new(JoinShared {
-            probe_channel: self.channel(qid, join.probe_input),
-            build_channel: self.channel(qid, join.build_input),
-            probe_senders: planned_workers[join.probe_input],
-            build_senders: planned_workers[join.build_input],
-            probe_schema: join.probe_schema.clone(),
-            build_schema: join.build_schema.clone(),
-            probe_keys: join.probe_keys.clone(),
-            build_keys: join.build_keys.clone(),
-            variant: join.variant,
-            post,
-            transport: Rc::clone(transport),
-            result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}", self.instance),
-            output,
-        });
-        Ok((0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
+        let (pipeline, sink) = (Rc::new(pipeline), Rc::new(sink));
+        Ok(inputs
+            .into_iter()
+            .enumerate()
+            .map(|(wid, input)| WorkerPayload {
+                worker_id: wid as u64,
                 attempt: 0,
-                query: qid,
-                task: WorkerTask::Join(JoinTask { shared: Rc::clone(&shared) }),
+                query: q.qid,
+                task: WorkerTask::Stage(StageTask {
+                    input,
+                    pipeline: Rc::clone(&pipeline),
+                    sink: Rc::clone(&sink),
+                }),
                 children: Vec::new(),
                 result_queue: result_queue.to_string(),
             })
             .collect())
-    }
-
-    /// Build the agg-merge fleet's payloads: worker `p` merges shard `p`
-    /// of every producer's grouped state, finalizes it, and either stores
-    /// the batch or feeds it onto a sort-exchange edge.
-    #[allow(clippy::too_many_arguments)]
-    fn agg_stage_payloads(
-        &self,
-        qid: u64,
-        sid: usize,
-        agg: &AggMergeStage,
-        partitions: usize,
-        sort_edge: Option<SortEdgeSpec>,
-        transport: &Rc<dyn ExchangeTransport>,
-        planned_workers: &[usize],
-        result_queue: &str,
-        emit_state: bool,
-    ) -> Result<Vec<WorkerPayload>> {
-        let sort = match &agg.output {
-            StageOutput::Driver => None,
-            StageOutput::SortExchange => {
-                let edge = sort_edge.ok_or_else(|| {
-                    CoreError::Engine(
-                        "sort-exchange agg-merge stage has no consumer sort stage".to_string(),
-                    )
-                })?;
-                Some((self.channel(qid, sid), edge))
-            }
-            other => {
-                return Err(CoreError::Engine(format!(
-                    "agg-merge stages report to the driver or a sort fleet, not {other:?}"
-                )))
-            }
-        };
-        let shared = Rc::new(AggMergeShared {
-            channel: self.channel(qid, agg.input),
-            senders: planned_workers[agg.input],
-            agg_schema: agg.agg_schema.clone(),
-            funcs: agg.funcs.clone(),
-            transport: Rc::clone(transport),
-            result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}-agg", self.instance),
-            sort,
-            emit_state,
-        });
-        Ok((0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
-                attempt: 0,
-                query: qid,
-                task: WorkerTask::AggMerge(AggMergeTask { shared: Rc::clone(&shared) }),
-                children: Vec::new(),
-                result_queue: result_queue.to_string(),
-            })
-            .collect())
-    }
-
-    /// Build the sort fleet's payloads: worker `p` sorts range partition
-    /// `p` of every producer's run and truncates it to the limit.
-    fn sort_stage_payloads(
-        &self,
-        qid: u64,
-        sort: &SortStage,
-        partitions: usize,
-        planned_workers: &[usize],
-        transport: &Rc<dyn ExchangeTransport>,
-        result_queue: &str,
-    ) -> Vec<WorkerPayload> {
-        let shared = Rc::new(SortShared {
-            channel: self.channel(qid, sort.input),
-            senders: planned_workers[sort.input],
-            schema: sort.schema.clone(),
-            keys: sort.keys.clone(),
-            limit: sort.limit,
-            transport: Rc::clone(transport),
-            result_bucket: self.config.result_bucket.clone(),
-            result_prefix: format!("results/x{}-q{qid}-sort", self.instance),
-        });
-        (0..partitions)
-            .map(|p| WorkerPayload {
-                worker_id: p as u64,
-                attempt: 0,
-                query: qid,
-                task: WorkerTask::Sort(SortTask { shared: Rc::clone(&shared) }),
-                children: Vec::new(),
-                result_queue: result_queue.to_string(),
-            })
-            .collect()
     }
 
     /// Exchange-edge key prefix of stage `sid` of query `qid`, namespaced
@@ -1349,12 +1155,44 @@ impl Lambada {
     }
 }
 
+/// Swap the planner's placeholder terminal for the sharding variant now
+/// that the consumer fleet is sized: row exchanges hash-partition
+/// `partitions` ways, agg exchanges shard their partial state. Sort
+/// exchanges keep their `SortPartition` terminal — range counts live in
+/// the edge spec, not the terminal.
+fn sized_pipeline(
+    spec: &PipelineSpec,
+    output: &StageOutput,
+    partitions: usize,
+) -> Result<PipelineSpec> {
+    let terminal = match (output, &spec.terminal) {
+        (StageOutput::Exchange { keys }, Terminal::Collect) => {
+            Terminal::HashPartition { keys: keys.clone(), partitions }
+        }
+        (StageOutput::AggExchange, Terminal::PartialAggregate { group_by, aggs }) => {
+            Terminal::PartitionedAggregate {
+                group_by: group_by.clone(),
+                aggs: aggs.clone(),
+                partitions,
+            }
+        }
+        (StageOutput::Driver, Terminal::Collect | Terminal::PartialAggregate { .. })
+        | (StageOutput::SortExchange, Terminal::SortPartition { .. }) => spec.terminal.clone(),
+        (output, terminal) => {
+            return Err(CoreError::Engine(format!(
+                "terminal {terminal:?} does not agree with stage output {output:?}"
+            )))
+        }
+    };
+    Ok(PipelineSpec { terminal, ..spec.clone() })
+}
+
 /// Scan-fleet partitioning: the files-per-worker chunk size and the
 /// resulting worker count, with the policy's fleet cap applied. When the
 /// cap does not bind this is exactly §5.2's `W = ceil(#files / F)` with
 /// chunk `F`; when it binds, files are rebalanced into `cap` equal
 /// chunks. One function serves both [`Lambada::planned_workers`] (which
-/// fixes exchange sender counts before launch) and the payload builder,
+/// fixes exchange sender counts before launch) and [`Lambada::lower_stage`],
 /// so the planned count always equals the number of payloads built.
 fn scan_partitioning(
     num_files: usize,
@@ -1399,18 +1237,14 @@ fn scan_partitioning(
 /// launched: the board's failure flag lets unlaunched fleets stand down
 /// without inventing an error of their own — the failing stage already
 /// carries the root cause.
-#[allow(clippy::too_many_arguments)]
 async fn run_fleet(
     cloud: Cloud,
     config: LambadaConfig,
-    result_queue: String,
-    payloads: Vec<WorkerPayload>,
     gate: Option<WorkerGate>,
-    barrier: Option<BarrierProbe>,
-    waits: Vec<WaitEvent>,
     board: Rc<StageBoard>,
-    sid: usize,
+    fleet: Fleet,
 ) -> Result<Option<StageRun>> {
+    let Fleet { sid, result_queue, payloads, barrier, waits } = fleet;
     let enqueued = cloud.handle.now();
     loop {
         if board.failed() {

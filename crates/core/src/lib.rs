@@ -100,8 +100,6 @@ pub use verify::{
     MAX_MODEL_FLEET,
 };
 pub use worker::{
-    inject_query_worker_faults, inject_worker_faults, register_worker_function, AggMergeShared,
-    AggMergeTask, ExchangeTask, FragmentShared, FragmentTask, JoinOutput, JoinShared, JoinTask,
-    ScanExchangeShared, ScanExchangeTask, SortEdgeSpec, SortShared, SortTask, WorkerPayload,
-    WorkerTask,
+    inject_query_worker_faults, inject_worker_faults, register_worker_function, ExchangeTask,
+    SortEdgeSpec, StageInput, StageSink, StageTask, WorkerPayload, WorkerTask,
 };

@@ -5,6 +5,12 @@
 //! runs the fragment, and posts a success or error message to the result
 //! queue — including out-of-memory situations, which are *reported* rather
 //! than dying silently.
+//!
+//! Every query stage runs the same shape, a [`StageTask`]: an input
+//! (table files, one edge of rows, one edge of agg shards, or the build
+//! and probe edges of a join) drained into a [`Pipeline`], whose output
+//! leaves through a sink (the driver, an exchange edge, a sort edge, or
+//! carried agg state).
 
 use std::rc::Rc;
 
@@ -12,8 +18,7 @@ use lambada_engine::agg::GroupedAggState;
 use lambada_engine::join::JoinState;
 use lambada_engine::logical::SortKey;
 use lambada_engine::physical::{
-    agg_state_to_batch, range_boundaries, range_partition_batch, sort_batch, sort_key_columns,
-    truncate_rows,
+    agg_state_to_batch, range_boundaries, range_partition_batch, sort_key_columns,
 };
 use lambada_engine::pipeline::{Pipeline, PipelineOutput, PipelineSpec, Terminal};
 use lambada_engine::types::{DataType, Schema, SchemaRef};
@@ -33,29 +38,6 @@ use crate::scan::{scan_table, ScanConfig, ScanItem};
 use crate::table::TableFile;
 use crate::transport::{EdgeWriteStats, ExchangeTransport};
 
-/// Immutable parts of a query fragment, shared across all workers of one
-/// query (the "query plan fragment" of §3.3).
-#[derive(Clone, Debug)]
-pub struct FragmentShared {
-    pub base_schema: Schema,
-    /// Base-schema column indices the scan must produce (ascending).
-    pub scan_columns: Vec<usize>,
-    /// Base-schema predicate used for row-group pruning.
-    pub prune_predicate: Option<Expr>,
-    /// The fragment pipeline over the scan output.
-    pub pipeline: PipelineSpec,
-    pub scan: ScanConfig,
-    /// Where collect-fragments store their batches.
-    pub result_bucket: String,
-}
-
-/// A fragment assignment: shared plan + this worker's files.
-#[derive(Clone, Debug)]
-pub struct FragmentTask {
-    pub shared: Rc<FragmentShared>,
-    pub files: Vec<TableFile>,
-}
-
 /// Standalone exchange task (Table 3 / Fig 13 experiments).
 #[derive(Clone)]
 pub struct ExchangeTask {
@@ -70,28 +52,74 @@ pub struct ExchangeTask {
     pub side: ExchangeSide,
 }
 
-/// Immutable parts of a scan stage feeding an exchange edge (the scan
-/// sides of a distributed join). The pipeline terminal is
-/// [`Terminal::HashPartition`], so the fragment's surviving rows leave
-/// through [`ExchangeTransport::send`] instead of the result queue.
-#[derive(Clone)]
-pub struct ScanExchangeShared {
-    pub fragment: FragmentShared,
-    /// Key prefix namespacing this stage edge (e.g. `q3/s0`).
-    pub channel: String,
-    /// The wire this stage's output leaves on (object store or direct).
-    pub transport: Rc<dyn ExchangeTransport>,
-    /// Set when this scan feeds a sort fleet: the pipeline terminal is
-    /// [`Terminal::SortPartition`] and the finished run leaves through
-    /// the sample-then-range-partition protocol instead of hash sharding.
-    pub sort: Option<SortEdgeSpec>,
+/// The scan half of a scan stage, shared across its fleet.
+#[derive(Clone, Debug)]
+pub struct TableScan {
+    pub base_schema: Schema,
+    /// Base-schema column indices the scan must produce (ascending).
+    pub scan_columns: Vec<usize>,
+    /// Base-schema predicate used for row-group pruning.
+    pub prune_predicate: Option<Expr>,
+    pub scan: ScanConfig,
 }
 
-/// A scan-exchange assignment: shared stage + this worker's files.
+/// One in-edge of a consumer stage: worker `p` reads co-partition `p`
+/// of every sender's file.
 #[derive(Clone)]
-pub struct ScanExchangeTask {
-    pub shared: Rc<ScanExchangeShared>,
-    pub files: Vec<TableFile>,
+pub struct EdgeIn {
+    /// Key prefix namespacing the producer stage's edge (e.g. `x0/q3/s1`).
+    pub channel: String,
+    /// Producer worker count (how many sender files to await).
+    pub senders: usize,
+    pub transport: Rc<dyn ExchangeTransport>,
+}
+
+/// The out-edge a stage's output leaves on.
+#[derive(Clone)]
+pub struct EdgeOut {
+    /// Key prefix namespacing this stage's edge.
+    pub channel: String,
+    pub transport: Rc<dyn ExchangeTransport>,
+}
+
+/// The two in-edges of a join stage: worker `p` builds a hash table from
+/// co-partition `p` of the build edge and probes it with co-partition `p`
+/// of the probe edge.
+#[derive(Clone)]
+pub struct JoinInput {
+    pub probe: EdgeIn,
+    pub build: EdgeIn,
+    pub probe_schema: SchemaRef,
+    pub build_schema: SchemaRef,
+    pub probe_keys: Vec<usize>,
+    pub build_keys: Vec<usize>,
+    /// Which rows the probe emits (inner / left-outer / semi / anti).
+    pub variant: JoinVariant,
+}
+
+/// The in-edge of an agg-merge stage: worker `p` merges shard `p` of
+/// every producer's partial-aggregate state. Producers shard by group-key
+/// hash, so the fleet's group ranges are disjoint.
+#[derive(Clone)]
+pub struct MergeInput {
+    pub edge: EdgeIn,
+    /// Accumulator shapes, to build the empty initial state.
+    pub funcs: Vec<(AggFunc, Option<DataType>)>,
+}
+
+/// Where a stage's rows come from.
+#[derive(Clone)]
+pub enum StageInput {
+    /// This worker's share of a table's files (scan stages).
+    Table { scan: Rc<TableScan>, files: Vec<TableFile> },
+    /// One edge of rows, concatenated into one batch (sort stages).
+    Rows(Rc<EdgeIn>),
+    /// One edge of agg shards, merged and finalized into one batch
+    /// (agg-merge stages; left unfinalized for a [`StageSink::Carry`]).
+    AggShards(Rc<MergeInput>),
+    /// Two edges that build and probe; the joined rows feed the pipeline
+    /// (join stages).
+    Join(Rc<JoinInput>),
 }
 
 /// Producer-side configuration of a *sort-exchange* edge: how a stage's
@@ -118,126 +146,32 @@ pub struct SortEdgeSpec {
     pub senders: usize,
 }
 
-/// Where a join stage's post-pipeline output goes.
+/// Where a stage's pipeline output goes.
 #[derive(Clone)]
-pub enum JoinOutput {
-    /// Report to the driver: agg state inline, large batches via storage.
-    Driver,
-    /// Hash-partition the post pipeline's rows onto the exchange edge
-    /// `channel` (the post terminal is [`Terminal::HashPartition`]),
-    /// feeding a parent join stage — the nested-join path.
-    Exchange { channel: String },
-    /// Shard the post pipeline's grouped aggregate state by group-key
-    /// hash onto the exchange edge `channel` (the post terminal is
-    /// [`Terminal::PartitionedAggregate`]), feeding an agg-merge fleet.
-    AggExchange { channel: String },
-    /// Range-partition the post pipeline's locally sorted run (the post
-    /// terminal is [`Terminal::SortPartition`]) onto the exchange edge
-    /// `channel`, feeding a sort fleet.
-    SortExchange { channel: String, edge: SortEdgeSpec },
+pub enum StageSink {
+    /// Report to the driver: agg state inline, batches stored under
+    /// `{prefix}/w{worker}` in `bucket` (empty output skips the PUT).
+    Driver { bucket: String, prefix: String },
+    /// Hash partitions ([`Terminal::HashPartition`]) or agg shards
+    /// ([`Terminal::PartitionedAggregate`]) onto an exchange edge, in one
+    /// write-combined send.
+    Edge(EdgeOut),
+    /// A locally sorted run ([`Terminal::SortPartition`]) range-partitioned
+    /// onto a sort edge through the sample protocol.
+    Sort { out: EdgeOut, edge: SortEdgeSpec },
+    /// Report the agg state *unfinalized*. Set for streaming queries,
+    /// whose driver carries the state across micro-batches and finalizes
+    /// only at window close (an averaged Avg cannot re-merge).
+    Carry,
 }
 
-/// Immutable parts of a join stage, shared across its fleet. Worker `p`
-/// of the fleet owns co-partition `p` of both inputs.
+/// One stage assignment (§3.3's plan fragment): input → pipeline → sink.
+/// Worker `p` of a consumer fleet owns co-partition `p` of its in-edges.
 #[derive(Clone)]
-pub struct JoinShared {
-    pub probe_channel: String,
-    pub build_channel: String,
-    /// Producer worker counts per edge (how many sender files to await).
-    pub probe_senders: usize,
-    pub build_senders: usize,
-    pub probe_schema: SchemaRef,
-    pub build_schema: SchemaRef,
-    pub probe_keys: Vec<usize>,
-    pub build_keys: Vec<usize>,
-    /// Which rows the probe emits (inner / left-outer / semi / anti).
-    pub variant: JoinVariant,
-    /// Post-join pipeline over the variant's probe output (`probe ++
-    /// build` rows for inner/left-outer, probe rows for semi/anti).
-    pub post: PipelineSpec,
-    /// The wire both in-edges arrive on and the out-edge leaves on.
-    pub transport: Rc<dyn ExchangeTransport>,
-    pub result_bucket: String,
-    /// Namespaces stored results (join fleets run once per query).
-    pub result_prefix: String,
-    /// Driver for join-rooted queries, an exchange edge when a grouped
-    /// aggregate above the join runs repartitioned.
-    pub output: JoinOutput,
-}
-
-/// A join assignment; the worker id doubles as the partition id.
-#[derive(Clone)]
-pub struct JoinTask {
-    pub shared: Rc<JoinShared>,
-}
-
-/// Immutable parts of an agg-merge stage, shared across its fleet.
-/// Worker `p` merges shard `p` of every producer's partial-aggregate
-/// state — the groups whose key hashes to `p` — then finalizes and
-/// stores the resulting batch. Producers shard by group-key hash, so the
-/// fleet's group ranges are disjoint and no further merging is needed.
-#[derive(Clone)]
-pub struct AggMergeShared {
-    /// Key prefix namespacing the producer stage's exchange edge.
-    pub channel: String,
-    /// Producer worker count (how many sender files to await).
-    pub senders: usize,
-    /// Output schema of the aggregate (group keys ++ finalized values).
-    pub agg_schema: SchemaRef,
-    /// Accumulator shapes, to build the empty initial state.
-    pub funcs: Vec<(AggFunc, Option<DataType>)>,
-    /// The wire the in-edge arrives on (and any sort out-edge leaves on).
-    pub transport: Rc<dyn ExchangeTransport>,
-    pub result_bucket: String,
-    /// Namespaces stored results (one merge fleet per query).
-    pub result_prefix: String,
-    /// Set when a sort fleet consumes the finalized groups: the merge
-    /// worker locally sorts (and top-k-truncates) its finalized batch and
-    /// range-partitions it onto the out-edge instead of storing it.
-    pub sort: Option<(String, SortEdgeSpec)>,
-    /// Report the merged state *unfinalized* (as a
-    /// [`ResultPayload::AggState`]) instead of finalizing to a stored
-    /// batch. Set for streaming queries, whose driver carries the state
-    /// across micro-batches and finalizes only at window close; the
-    /// fleet's shards hold disjoint group ranges, so the driver merge is
-    /// trivially correct. Mutually exclusive with `sort`.
-    pub emit_state: bool,
-}
-
-/// Immutable parts of a distributed sort stage, shared across its fleet.
-/// Worker `p` receives range partition `p` of every producer's locally
-/// sorted run, sorts it, truncates to `limit`, and stores the result.
-/// Ranges are disjoint and ordered by partition id, so the driver's
-/// concatenation (in worker order) is globally sorted.
-#[derive(Clone)]
-pub struct SortShared {
-    /// Key prefix namespacing the producer stage's sort-exchange edge.
-    pub channel: String,
-    /// Producer worker count (how many sender files to await).
-    pub senders: usize,
-    /// Schema of the rows on the edge.
-    pub schema: SchemaRef,
-    /// Sort keys over `schema`.
-    pub keys: Vec<SortKey>,
-    /// Per-partition top-k truncation (the query's `LIMIT`).
-    pub limit: Option<usize>,
-    /// The wire the in-edge arrives on.
-    pub transport: Rc<dyn ExchangeTransport>,
-    pub result_bucket: String,
-    /// Namespaces stored results (one sort fleet per query).
-    pub result_prefix: String,
-}
-
-/// A sort assignment; the worker id doubles as the range partition id.
-#[derive(Clone)]
-pub struct SortTask {
-    pub shared: Rc<SortShared>,
-}
-
-/// An agg-merge assignment; the worker id doubles as the partition id.
-#[derive(Clone)]
-pub struct AggMergeTask {
-    pub shared: Rc<AggMergeShared>,
+pub struct StageTask {
+    pub input: StageInput,
+    pub pipeline: Rc<PipelineSpec>,
+    pub sink: Rc<StageSink>,
 }
 
 /// What a worker is asked to do.
@@ -247,22 +181,10 @@ pub enum WorkerTask {
     Noop,
     /// Fixed amount of number crunching on N threads (Fig 4).
     Compute { vcpu_seconds: f64, threads: usize },
-    /// Scan + filter + project + partial aggregate (queries).
-    Fragment(FragmentTask),
-    /// Scan + filter + project + hash-partition onto an exchange edge
-    /// (the scan stages of a distributed join).
-    ScanExchange(ScanExchangeTask),
-    /// Build + probe one co-partition of a distributed hash join, then
-    /// run the post-join pipeline.
-    Join(JoinTask),
-    /// Merge one co-partition of sharded partial-aggregate states and
-    /// finalize it (the merge stage of a repartitioned aggregation).
-    AggMerge(AggMergeTask),
-    /// Sort one range partition of a distributed sort and truncate it to
-    /// the query's limit.
-    Sort(SortTask),
     /// Repartition data through cloud storage.
     Exchange(ExchangeTask),
+    /// Run one worker's share of a query stage.
+    Stage(StageTask),
 }
 
 /// The invocation payload (the "event" of the Lambda function).
@@ -432,12 +354,8 @@ async fn run_task(env: &WorkerEnv, task: &WorkerTask) -> Result<(ResultPayload, 
             }
             Ok((ResultPayload::Empty, WorkerMetrics::default()))
         }
-        WorkerTask::Fragment(frag) => run_fragment(env, frag).await,
-        WorkerTask::ScanExchange(task) => run_scan_exchange(env, task).await,
-        WorkerTask::Join(task) => run_join(env, task).await,
-        WorkerTask::AggMerge(task) => run_agg_merge(env, task).await,
-        WorkerTask::Sort(task) => run_sort(env, task).await,
         WorkerTask::Exchange(x) => run_exchange_task(env, x).await,
+        WorkerTask::Stage(task) => run_stage(env, task).await,
     }
 }
 
@@ -464,9 +382,34 @@ fn fold_read_stats(metrics: &mut WorkerMetrics, stats: &EdgeReadStats) {
     metrics.exchange_wait_secs += stats.wait_secs;
 }
 
-/// Bytes that crossed the edge in one send, whichever wire carried them.
-fn edge_bytes(stats: &EdgeWriteStats) -> u64 {
-    stats.bytes_written + stats.p2p_bytes
+/// Receive this worker's co-partition of `edge`.
+async fn recv_edge(
+    env: &WorkerEnv,
+    edge: &EdgeIn,
+    metrics: &mut WorkerMetrics,
+) -> Result<Vec<Vec<u8>>> {
+    let (parts, stats) =
+        edge.transport.recv(env, &edge.channel, env.worker_id as usize, edge.senders).await?;
+    fold_read_stats(metrics, &stats);
+    real_parts(parts)
+}
+
+/// The non-empty payloads of a receive. Stage edges carry real payloads;
+/// modeled parts belong to the standalone exchange benchmarks only.
+fn real_parts(parts: Vec<PartData>) -> Result<Vec<Vec<u8>>> {
+    let mut out = Vec::with_capacity(parts.len());
+    for part in parts {
+        match part {
+            PartData::Real(bytes) if bytes.is_empty() => {}
+            PartData::Real(bytes) => out.push(bytes),
+            PartData::Modeled(_) => {
+                return Err(CoreError::Unsupported(
+                    "stage edges need real exchange payloads".to_string(),
+                ))
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Ship one producer's locally sorted run onto a sort-exchange edge.
@@ -481,8 +424,7 @@ fn edge_bytes(stats: &EdgeWriteStats) -> u64 {
 /// requests spent and returns the exchanged (rows, bytes).
 async fn sort_exchange_out(
     env: &WorkerEnv,
-    transport: &dyn ExchangeTransport,
-    channel: &str,
+    out: &EdgeOut,
     edge: &SortEdgeSpec,
     run: &RecordBatch,
     metrics: &mut WorkerMetrics,
@@ -505,26 +447,19 @@ async fn sort_exchange_out(
         let sample = RecordBatch::new(lambada_engine::Schema::arc(fields), cols)?;
         crate::partition::encode_batches(&[sample])?
     };
-    let smp_channel = format!("{channel}smp");
-    let write_stats = transport
+    let smp_channel = format!("{}smp", out.channel);
+    let write_stats = out
+        .transport
         .send(env, &smp_channel, env.worker_id as usize, vec![PartData::Real(sample_bytes)])
         .await?;
     fold_write_stats(metrics, write_stats);
 
     // ---- Sample read: every producer reads the whole pool ---------------
-    let (sample_parts, stats) = transport.recv(env, &smp_channel, 0, edge.senders).await?;
+    let (sample_parts, stats) = out.transport.recv(env, &smp_channel, 0, edge.senders).await?;
     fold_read_stats(metrics, &stats);
     let mut pooled: Vec<Vec<Scalar>> = Vec::new();
-    for part in &sample_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "sort stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
-        }
-        for batch in crate::partition::decode_batches(bytes)? {
+    for bytes in real_parts(sample_parts)? {
+        for batch in crate::partition::decode_batches(&bytes)? {
             for row in 0..batch.num_rows() {
                 pooled.push(batch.row(row));
             }
@@ -547,76 +482,166 @@ async fn sort_exchange_out(
     // than partitions - 1 only when the pooled sample is tiny, leaving
     // trailing partitions empty — pad the part list to the fleet size.
     parts.resize(edge.partitions, PartData::Real(Vec::new()));
-    let write_stats = transport.send(env, channel, env.worker_id as usize, parts).await?;
-    let bytes = edge_bytes(&write_stats);
-    fold_write_stats(metrics, write_stats);
-    metrics.rows_exchanged += rows as u64;
-    Ok((rows as u64, bytes))
+    send_parts(env, out, parts, rows as u64, metrics).await
 }
 
-/// Sort stage of a distributed sort/top-k: read range partition `p` of
-/// every producer's run, sort it, truncate to the limit, and store the
-/// resulting batch — the driver-side sort of §3.2 moved into the
-/// serverless scope. Concatenating the fleet's outputs in worker order
-/// yields the total order.
-async fn run_sort(env: &WorkerEnv, task: &SortTask) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let p = env.worker_id as usize;
+/// One write-combined send onto `out`; returns the exchanged (rows,
+/// bytes), whichever wire carried them.
+async fn send_parts(
+    env: &WorkerEnv,
+    out: &EdgeOut,
+    parts: Vec<PartData>,
+    rows: u64,
+    metrics: &mut WorkerMetrics,
+) -> Result<(u64, u64)> {
+    let stats = out.transport.send(env, &out.channel, env.worker_id as usize, parts).await?;
+    let bytes = stats.bytes_written + stats.p2p_bytes;
+    fold_write_stats(metrics, stats);
+    metrics.rows_exchanged += rows;
+    Ok((rows, bytes))
+}
+
+/// Run one stage assignment: drain the input into the pipeline, then
+/// hand the pipeline's output to the sink. Each input charges its own
+/// engine compute and keeps its own out-of-memory check (§3.3: reported,
+/// never a silent death).
+async fn run_stage(env: &WorkerEnv, task: &StageTask) -> Result<(ResultPayload, WorkerMetrics)> {
     let budget = env.engine_memory_budget();
+    let mut pipeline = Pipeline::new(PipelineSpec::clone(&task.pipeline))?;
     let mut metrics = WorkerMetrics::default();
-
-    let (parts, stats) = shared.transport.recv(env, &shared.channel, p, shared.senders).await?;
-    fold_read_stats(&mut metrics, &stats);
-
-    let mut batches = Vec::new();
-    let mut state_bytes = 0u64;
-    for part in &parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "sort stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
-        }
-        for batch in crate::partition::decode_batches(bytes)? {
-            state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
-            if state_bytes > budget / 2 {
-                return Err(CoreError::Engine(format!(
-                    "out of memory: sort partition exceeds half the budget {budget} B"
-                )));
+    let output = match &task.input {
+        StageInput::Table { scan, files } => {
+            let (scan_metrics, modeled_rows) = drive_scan(env, scan, files, &mut pipeline).await?;
+            if modeled_rows > 0 && matches!(*task.sink, StageSink::Edge(_) | StageSink::Sort { .. })
+            {
+                return Err(CoreError::Unsupported(
+                    "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
+                        .to_string(),
+                ));
             }
-            batches.push(batch);
+            let (rows_in, rows_out) = pipeline.row_counts();
+            metrics = WorkerMetrics {
+                rows_in: rows_in + modeled_rows,
+                rows_out,
+                bytes_read: scan_metrics.bytes_read,
+                get_requests: scan_metrics.get_requests,
+                row_groups_pruned: scan_metrics.row_groups_pruned,
+                row_groups_scanned: scan_metrics.row_groups_total - scan_metrics.row_groups_pruned,
+                ..WorkerMetrics::default()
+            };
+            pipeline.finish()?
         }
-    }
-    let rows_in: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-    metrics.rows_in = rows_in;
-    metrics.rows_exchanged = rows_in;
-    env.compute(env.costs.process_seconds(rows_in)).await;
+        StageInput::Rows(edge) => {
+            // The sort stage of a distributed sort: range partition `p` of
+            // every producer's run, sorted by the pipeline's terminal.
+            let mut batches = Vec::new();
+            let mut state_bytes = 0u64;
+            for bytes in recv_edge(env, edge, &mut metrics).await? {
+                for batch in crate::partition::decode_batches(&bytes)? {
+                    state_bytes += (batch.num_rows() * batch.num_columns() * 8) as u64;
+                    if state_bytes > budget / 2 {
+                        return Err(CoreError::Engine(format!(
+                            "out of memory: sort partition exceeds half the budget {budget} B"
+                        )));
+                    }
+                    batches.push(batch);
+                }
+            }
+            let rows_in: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+            metrics.rows_in = rows_in;
+            metrics.rows_exchanged = rows_in;
+            env.compute(env.costs.process_seconds(rows_in)).await;
+            pipeline.push(&RecordBatch::concat(task.pipeline.input_schema.clone(), &batches)?)?;
+            pipeline.finish()?
+        }
+        StageInput::AggShards(merge) => {
+            let state = merge_shards(env, merge, budget, &mut metrics).await?;
+            if matches!(*task.sink, StageSink::Carry) {
+                metrics.rows_out = state.num_groups() as u64;
+                PipelineOutput::Aggregate(state)
+            } else {
+                pipeline.push(&agg_state_to_batch(&state, &task.pipeline.input_schema)?)?;
+                metrics.rows_out = pipeline.row_counts().1;
+                pipeline.finish()?
+            }
+        }
+        StageInput::Join(join) => {
+            for batch in &build_and_probe(env, join, budget, &mut metrics).await? {
+                env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
+                pipeline.push(batch)?;
+            }
+            metrics.rows_out = pipeline.row_counts().1;
+            pipeline.finish()?
+        }
+    };
+    write_sink(env, &task.sink, output, metrics).await
+}
 
-    let all = RecordBatch::concat(shared.schema.clone(), &batches)?;
-    let mut sorted = sort_batch(&all, &shared.keys)?;
-    if let Some(n) = shared.limit {
-        sorted = truncate_rows(sorted, n);
+/// Hand a finished pipeline's output to the stage's sink.
+async fn write_sink(
+    env: &WorkerEnv,
+    sink: &StageSink,
+    output: PipelineOutput,
+    mut metrics: WorkerMetrics,
+) -> Result<(ResultPayload, WorkerMetrics)> {
+    match (sink, output) {
+        (StageSink::Driver { .. } | StageSink::Carry, PipelineOutput::Aggregate(state)) => {
+            Ok((ResultPayload::AggState(state.encode()), metrics))
+        }
+        (StageSink::Driver { bucket, prefix }, PipelineOutput::Batches(batches)) => {
+            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
+            metrics.rows_out = rows;
+            if rows == 0 {
+                return Ok((ResultPayload::Empty, metrics));
+            }
+            // Large results go to cloud storage, not through the queue.
+            let bytes = crate::partition::encode_batches(&batches)?;
+            let key = format!("{prefix}/w{}", env.worker_id);
+            metrics.bytes_written += bytes.len() as u64;
+            metrics.put_requests += 1;
+            env.s3.put(bucket, &key, Body::from_vec(bytes)).await?;
+            Ok((ResultPayload::StoredBatches { bucket: bucket.clone(), key, rows }, metrics))
+        }
+        (StageSink::Edge(out), PipelineOutput::Partitions(partitions)) => {
+            let mut parts = Vec::with_capacity(partitions.len());
+            for batches in &partitions {
+                if batches.is_empty() {
+                    parts.push(PartData::Real(Vec::new()));
+                } else {
+                    parts.push(PartData::Real(crate::partition::encode_batches(batches)?));
+                }
+            }
+            let rows = partitions.iter().flatten().map(|b| b.num_rows() as u64).sum();
+            let (rows, bytes) = send_parts(env, out, parts, rows, &mut metrics).await?;
+            Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
+        }
+        (StageSink::Edge(out), PipelineOutput::AggShards(shards)) => {
+            // Empty shards become zero-length parts, so receivers learn
+            // from the file name that they have nothing to fetch.
+            let parts = shards
+                .iter()
+                .map(|s| PartData::Real(if s.num_groups() == 0 { Vec::new() } else { s.encode() }))
+                .collect();
+            let groups = shards.iter().map(|s| s.num_groups() as u64).sum();
+            let (rows, bytes) = send_parts(env, out, parts, groups, &mut metrics).await?;
+            Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
+        }
+        (StageSink::Sort { out, edge }, PipelineOutput::Batches(run)) => {
+            let run = RecordBatch::concat(edge.schema.clone(), &run)?;
+            let (rows, bytes) = sort_exchange_out(env, out, edge, &run, &mut metrics).await?;
+            Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
+        }
+        _ => Err(CoreError::Engine(
+            "stage pipeline terminal does not agree with its sink".to_string(),
+        )),
     }
-    metrics.rows_out = sorted.num_rows() as u64;
-    if sorted.num_rows() == 0 {
-        return Ok((ResultPayload::Empty, metrics));
-    }
-    let rows = sorted.num_rows() as u64;
-    let bytes = crate::partition::encode_batches(&[sorted])?;
-    let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-    metrics.bytes_written += bytes.len() as u64;
-    metrics.put_requests += 1;
-    env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-    Ok((ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows }, metrics))
 }
 
 /// Run the scan pipeline of one worker, feeding items into `pipeline`
 /// with OOM accounting; returns the scan metrics and modeled row count.
 async fn drive_scan(
     env: &WorkerEnv,
-    shared: &FragmentShared,
+    scan: &Rc<TableScan>,
     files: &[TableFile],
     pipeline: &mut Pipeline,
 ) -> Result<(crate::scan::ScanMetrics, u64)> {
@@ -625,15 +650,15 @@ async fn drive_scan(
     let scan_handle = {
         let env2 = env.clone();
         let files = files.to_vec();
-        let shared2 = shared.clone();
+        let scan = Rc::clone(scan);
         env.cloud.handle.spawn(async move {
             scan_table(
                 &env2,
-                &shared2.scan,
+                &scan.scan,
                 &files,
-                &shared2.base_schema,
-                &shared2.scan_columns,
-                shared2.prune_predicate.as_ref(),
+                &scan.base_schema,
+                &scan.scan_columns,
+                scan.prune_predicate.as_ref(),
                 tx,
             )
             .await
@@ -670,330 +695,18 @@ async fn drive_scan(
     Ok((scan_metrics, modeled_rows))
 }
 
-async fn run_fragment(
+/// Read shard `p` of every producer's partial-aggregate state and merge
+/// them — this fleet owns disjoint group ranges, so the merge is local
+/// (the driver-side merge of §3.2 moved into the serverless scope).
+async fn merge_shards(
     env: &WorkerEnv,
-    frag: &FragmentTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &frag.shared;
-    let mut pipeline = Pipeline::new(shared.pipeline.clone())?;
-    let (scan_metrics, modeled_rows) = drive_scan(env, shared, &frag.files, &mut pipeline).await?;
-
-    let (rows_in, rows_out) = pipeline.row_counts();
-    let metrics = WorkerMetrics {
-        rows_in: rows_in + modeled_rows,
-        rows_out,
-        bytes_read: scan_metrics.bytes_read,
-        get_requests: scan_metrics.get_requests,
-        row_groups_pruned: scan_metrics.row_groups_pruned,
-        row_groups_scanned: scan_metrics.row_groups_total - scan_metrics.row_groups_pruned,
-        ..WorkerMetrics::default()
-    };
-
-    match pipeline.finish()? {
-        PipelineOutput::Aggregate(state) => Ok((ResultPayload::AggState(state.encode()), metrics)),
-        PipelineOutput::Batches(batches) => {
-            if batches.is_empty() {
-                return Ok((ResultPayload::Empty, metrics));
-            }
-            // Large results go to cloud storage, not through the queue.
-            let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-            let bytes = crate::partition::encode_batches(&batches)?;
-            let key = format!("results/w{}", env.worker_id);
-            env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-            Ok((
-                ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows },
-                metrics,
-            ))
-        }
-        PipelineOutput::Partitions(_) | PipelineOutput::AggShards(_) => {
-            Err(CoreError::Engine("fragment task cannot end in a sharding terminal".to_string()))
-        }
-    }
-}
-
-/// Encode sharded partial-aggregate states as exchange parts. Empty
-/// shards become zero-length parts, so receivers learn from the file
-/// name that they have nothing to fetch.
-fn agg_shard_parts(shards: &[GroupedAggState]) -> Vec<PartData> {
-    shards
-        .iter()
-        .map(|s| {
-            if s.num_groups() == 0 {
-                PartData::Real(Vec::new())
-            } else {
-                PartData::Real(s.encode())
-            }
-        })
-        .collect()
-}
-
-/// Scan stage feeding an exchange edge: scan → filter → project, then
-/// either hash-partitioned rows (join inputs) or sharded partial
-/// aggregate states (repartitioned aggregation), leaving through one
-/// write-combined PUT.
-async fn run_scan_exchange(
-    env: &WorkerEnv,
-    task: &ScanExchangeTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let mut pipeline = Pipeline::new(shared.fragment.pipeline.clone())?;
-    let (scan_metrics, modeled_rows) =
-        drive_scan(env, &shared.fragment, &task.files, &mut pipeline).await?;
-    if modeled_rows > 0 {
-        return Err(CoreError::Unsupported(
-            "exchange edges need real table files (descriptor-backed tables carry no rows to repartition)"
-                .to_string(),
-        ));
-    }
-
-    let (rows_in, rows_out) = pipeline.row_counts();
-    let mut metrics = WorkerMetrics {
-        rows_in,
-        rows_out,
-        bytes_read: scan_metrics.bytes_read,
-        get_requests: scan_metrics.get_requests,
-        row_groups_pruned: scan_metrics.row_groups_pruned,
-        row_groups_scanned: scan_metrics.row_groups_total - scan_metrics.row_groups_pruned,
-        ..WorkerMetrics::default()
-    };
-    // What actually leaves on the edge: filtered rows for hash-partition
-    // stages, grouped states (one "row" per group) for agg stages, a
-    // range-partitioned sorted run for sort-exchange stages.
-    let (parts, exchanged_rows) = match pipeline.finish()? {
-        PipelineOutput::Partitions(partitions) => {
-            let mut parts = Vec::with_capacity(partitions.len());
-            for batches in &partitions {
-                if batches.is_empty() {
-                    parts.push(PartData::Real(Vec::new()));
-                } else {
-                    parts.push(PartData::Real(crate::partition::encode_batches(batches)?));
-                }
-            }
-            (parts, rows_out)
-        }
-        PipelineOutput::AggShards(shards) => {
-            let groups: u64 = shards.iter().map(|s| s.num_groups() as u64).sum();
-            (agg_shard_parts(&shards), groups)
-        }
-        PipelineOutput::Batches(run) => {
-            let Some(edge) = shared.sort.as_ref() else {
-                return Err(CoreError::Engine(
-                    "scan-exchange task needs a sharding or sort-partition terminal".to_string(),
-                ));
-            };
-            let run = RecordBatch::concat(edge.schema.clone(), &run)?;
-            let (rows, bytes) = sort_exchange_out(
-                env,
-                shared.transport.as_ref(),
-                &shared.channel,
-                edge,
-                &run,
-                &mut metrics,
-            )
-            .await?;
-            return Ok((ResultPayload::Exchanged { rows, bytes }, metrics));
-        }
-        _ => {
-            return Err(CoreError::Engine(
-                "scan-exchange task needs a sharding or sort-partition terminal".to_string(),
-            ))
-        }
-    };
-    let write_stats =
-        shared.transport.send(env, &shared.channel, env.worker_id as usize, parts).await?;
-    let bytes = edge_bytes(&write_stats);
-    fold_write_stats(&mut metrics, write_stats);
-    metrics.rows_exchanged = exchanged_rows;
-    Ok((ResultPayload::Exchanged { rows: exchanged_rows, bytes }, metrics))
-}
-
-/// Join stage: read both co-partitions from the exchange edges, build a
-/// hash table from the build side, probe it with the probe side, and run
-/// the post-join pipeline (§4.4's "operators that repartition data" —
-/// executed with no infrastructure beyond storage and functions).
-async fn run_join(env: &WorkerEnv, task: &JoinTask) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let p = env.worker_id as usize;
-    let budget = env.engine_memory_budget();
-    let mut metrics = WorkerMetrics::default();
-
-    // ---- Build side -----------------------------------------------------
-    let (build_parts, build_stats) =
-        shared.transport.recv(env, &shared.build_channel, p, shared.build_senders).await?;
-    fold_read_stats(&mut metrics, &build_stats);
-    let mut build_batches = Vec::new();
-    for part in &build_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "join stages need real exchange payloads".to_string(),
-            ));
-        };
-        build_batches.extend(crate::partition::decode_batches(bytes)?);
-    }
-    let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
-    env.compute(env.costs.process_seconds(build_rows)).await;
-    let build =
-        JoinState::build(shared.build_schema.clone(), shared.build_keys.clone(), &build_batches)?;
-    drop(build_batches);
-    if build.approx_bytes() as u64 > budget / 2 {
-        return Err(CoreError::Engine(format!(
-            "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
-            build.approx_bytes()
-        )));
-    }
-
-    // ---- Probe side -----------------------------------------------------
-    let probe_spec = PipelineSpec {
-        input_schema: shared.probe_schema.clone(),
-        predicate: None,
-        projection: None,
-        terminal: Terminal::Probe {
-            build: Rc::new(build),
-            probe_keys: shared.probe_keys.clone(),
-            variant: shared.variant,
-        },
-    };
-    let mut probe_pipeline = Pipeline::new(probe_spec)?;
-    let (probe_parts, probe_stats) =
-        shared.transport.recv(env, &shared.probe_channel, p, shared.probe_senders).await?;
-    fold_read_stats(&mut metrics, &probe_stats);
-    for part in &probe_parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "join stages need real exchange payloads".to_string(),
-            ));
-        };
-        for batch in crate::partition::decode_batches(bytes)? {
-            env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
-            probe_pipeline.push(&batch)?;
-            if probe_pipeline.approx_state_bytes() as u64 > budget / 2 {
-                return Err(CoreError::Engine(format!(
-                    "out of memory: joined rows exceed half the budget {budget} B"
-                )));
-            }
-        }
-    }
-    let (probe_rows, _) = probe_pipeline.row_counts();
-    metrics.rows_in = probe_rows + build_rows;
-    metrics.rows_exchanged = probe_rows + build_rows;
-    let PipelineOutput::Batches(joined) = probe_pipeline.finish()? else {
-        unreachable!("probe terminal collects joined batches");
-    };
-
-    // ---- Post-join pipeline --------------------------------------------
-    let mut post = Pipeline::new(shared.post.clone())?;
-    for batch in &joined {
-        env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
-        post.push(batch)?;
-    }
-    let (_, rows_out) = post.row_counts();
-    metrics.rows_out = rows_out;
-
-    match post.finish()? {
-        PipelineOutput::Aggregate(state) => Ok((ResultPayload::AggState(state.encode()), metrics)),
-        PipelineOutput::AggShards(shards) => {
-            let JoinOutput::AggExchange { channel } = &shared.output else {
-                return Err(CoreError::Engine(
-                    "partitioned-aggregate terminal needs an agg-exchange output".to_string(),
-                ));
-            };
-            let groups: u64 = shards.iter().map(|s| s.num_groups() as u64).sum();
-            let write_stats =
-                shared.transport.send(env, channel, p, agg_shard_parts(&shards)).await?;
-            let bytes = edge_bytes(&write_stats);
-            fold_write_stats(&mut metrics, write_stats);
-            Ok((ResultPayload::Exchanged { rows: groups, bytes }, metrics))
-        }
-        PipelineOutput::Partitions(partitions) => {
-            // Nested join: this join's rows feed a parent join's edge,
-            // hash-partitioned exactly like a scan stage's would be.
-            let JoinOutput::Exchange { channel } = &shared.output else {
-                return Err(CoreError::Engine(
-                    "hash-partition terminal needs a row-exchange output".to_string(),
-                ));
-            };
-            let mut parts = Vec::with_capacity(partitions.len());
-            for batches in &partitions {
-                if batches.is_empty() {
-                    parts.push(PartData::Real(Vec::new()));
-                } else {
-                    parts.push(PartData::Real(crate::partition::encode_batches(batches)?));
-                }
-            }
-            let write_stats = shared.transport.send(env, channel, p, parts).await?;
-            let bytes = edge_bytes(&write_stats);
-            fold_write_stats(&mut metrics, write_stats);
-            metrics.rows_exchanged += rows_out;
-            Ok((ResultPayload::Exchanged { rows: rows_out, bytes }, metrics))
-        }
-        PipelineOutput::Batches(batches) => match &shared.output {
-            JoinOutput::SortExchange { channel, edge } => {
-                let run = RecordBatch::concat(edge.schema.clone(), &batches)?;
-                let (rows, bytes) = sort_exchange_out(
-                    env,
-                    shared.transport.as_ref(),
-                    channel,
-                    edge,
-                    &run,
-                    &mut metrics,
-                )
-                .await?;
-                Ok((ResultPayload::Exchanged { rows, bytes }, metrics))
-            }
-            JoinOutput::Driver => {
-                if batches.is_empty() {
-                    return Ok((ResultPayload::Empty, metrics));
-                }
-                let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
-                let bytes = crate::partition::encode_batches(&batches)?;
-                let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-                metrics.bytes_written = bytes.len() as u64;
-                metrics.put_requests += 1;
-                env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-                Ok((
-                    ResultPayload::StoredBatches {
-                        bucket: shared.result_bucket.clone(),
-                        key,
-                        rows,
-                    },
-                    metrics,
-                ))
-            }
-            _ => Err(CoreError::Engine(
-                "collecting join terminal needs a driver or sort-exchange output".to_string(),
-            )),
-        },
-    }
-}
-
-/// Agg-merge stage of a repartitioned aggregation: read shard `p` of
-/// every producer's partial-aggregate state from the exchange edge, merge
-/// them (this fleet owns disjoint group ranges, so merging is local),
-/// finalize, and store the resulting batch for the driver to collect —
-/// the driver-side merge of §3.2 moved into the serverless scope.
-async fn run_agg_merge(
-    env: &WorkerEnv,
-    task: &AggMergeTask,
-) -> Result<(ResultPayload, WorkerMetrics)> {
-    let shared = &task.shared;
-    let p = env.worker_id as usize;
-    let budget = env.engine_memory_budget();
-    let mut metrics = WorkerMetrics::default();
-
-    let (parts, stats) = shared.transport.recv(env, &shared.channel, p, shared.senders).await?;
-    fold_read_stats(&mut metrics, &stats);
-
-    let mut state = GroupedAggState::new(&shared.funcs)?;
-    for part in &parts {
-        let PartData::Real(bytes) = part else {
-            return Err(CoreError::Unsupported(
-                "agg-merge stages need real exchange payloads".to_string(),
-            ));
-        };
-        if bytes.is_empty() {
-            continue;
-        }
-        let shard = GroupedAggState::decode(bytes)?;
+    merge: &MergeInput,
+    budget: u64,
+    metrics: &mut WorkerMetrics,
+) -> Result<GroupedAggState> {
+    let mut state = GroupedAggState::new(&merge.funcs)?;
+    for bytes in recv_edge(env, &merge.edge, metrics).await? {
+        let shard = GroupedAggState::decode(&bytes)?;
         metrics.rows_in += shard.num_groups() as u64;
         env.compute(env.costs.process_seconds(shard.num_groups() as u64)).await;
         state.merge(&shard)?;
@@ -1005,42 +718,65 @@ async fn run_agg_merge(
         }
     }
     metrics.rows_exchanged = metrics.rows_in;
+    Ok(state)
+}
 
-    if shared.emit_state {
-        // Streaming: hand the merged state back unfinalized so the driver
-        // can carry it across micro-batches. Finalizing here would lose
-        // mergeability (an averaged Avg cannot re-merge).
-        metrics.rows_out = state.num_groups() as u64;
-        return Ok((ResultPayload::AggState(state.encode()), metrics));
+/// Read both co-partitions from the exchange edges, build a hash table
+/// from the build side, and probe it with the probe side (§4.4's
+/// "operators that repartition data" — executed with no infrastructure
+/// beyond storage and functions). Returns the joined rows.
+async fn build_and_probe(
+    env: &WorkerEnv,
+    join: &JoinInput,
+    budget: u64,
+    metrics: &mut WorkerMetrics,
+) -> Result<Vec<RecordBatch>> {
+    // ---- Build side -----------------------------------------------------
+    let mut build_batches = Vec::new();
+    for bytes in recv_edge(env, &join.build, metrics).await? {
+        build_batches.extend(crate::partition::decode_batches(&bytes)?);
+    }
+    let build_rows: u64 = build_batches.iter().map(|b| b.num_rows() as u64).sum();
+    env.compute(env.costs.process_seconds(build_rows)).await;
+    let build =
+        JoinState::build(join.build_schema.clone(), join.build_keys.clone(), &build_batches)?;
+    drop(build_batches);
+    if build.approx_bytes() as u64 > budget / 2 {
+        return Err(CoreError::Engine(format!(
+            "out of memory: build-side hash table of {} B exceeds half the budget {budget} B",
+            build.approx_bytes()
+        )));
     }
 
-    let batch = agg_state_to_batch(&state, &shared.agg_schema)?;
-    metrics.rows_out = batch.num_rows() as u64;
-
-    if let Some((channel, edge)) = &shared.sort {
-        // A sort fleet consumes the finalized groups: locally sort,
-        // truncate to the pushed-down limit, and range-partition onto the
-        // out-edge — this merge worker is a sort-exchange producer.
-        let mut run = sort_batch(&batch, &edge.keys)?;
-        if let Some(n) = edge.limit {
-            run = truncate_rows(run, n);
+    // ---- Probe side -----------------------------------------------------
+    let mut probe = Pipeline::new(PipelineSpec {
+        input_schema: join.probe_schema.clone(),
+        predicate: None,
+        projection: None,
+        terminal: Terminal::Probe {
+            build: Rc::new(build),
+            probe_keys: join.probe_keys.clone(),
+            variant: join.variant,
+        },
+    })?;
+    for bytes in recv_edge(env, &join.probe, metrics).await? {
+        for batch in crate::partition::decode_batches(&bytes)? {
+            env.compute(env.costs.process_seconds(batch.num_rows() as u64)).await;
+            probe.push(&batch)?;
+            if probe.approx_state_bytes() as u64 > budget / 2 {
+                return Err(CoreError::Engine(format!(
+                    "out of memory: joined rows exceed half the budget {budget} B"
+                )));
+            }
         }
-        let (rows, bytes) =
-            sort_exchange_out(env, shared.transport.as_ref(), channel, edge, &run, &mut metrics)
-                .await?;
-        return Ok((ResultPayload::Exchanged { rows, bytes }, metrics));
     }
-
-    if batch.num_rows() == 0 {
-        return Ok((ResultPayload::Empty, metrics));
+    let (probe_rows, _) = probe.row_counts();
+    metrics.rows_in = probe_rows + build_rows;
+    metrics.rows_exchanged = probe_rows + build_rows;
+    match probe.finish()? {
+        PipelineOutput::Batches(joined) => Ok(joined),
+        _ => Err(CoreError::Engine("probe terminal must collect joined batches".to_string())),
     }
-    let rows = batch.num_rows() as u64;
-    let bytes = crate::partition::encode_batches(&[batch])?;
-    let key = format!("{}/w{}", shared.result_prefix, env.worker_id);
-    metrics.bytes_written = bytes.len() as u64;
-    metrics.put_requests += 1;
-    env.s3.put(&shared.result_bucket, &key, Body::from_vec(bytes)).await?;
-    Ok((ResultPayload::StoredBatches { bucket: shared.result_bucket.clone(), key, rows }, metrics))
 }
 
 async fn run_exchange_task(

@@ -8,10 +8,11 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use lambada::core::{
-    inject_worker_faults, CoreError, Lambada, LambadaConfig, SortStrategy, SpeculationConfig,
-    TransportKind,
+    inject_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, SortStrategy,
+    SpeculationConfig, TransportKind,
 };
-use lambada::engine::{RecordBatch, Scalar};
+use lambada::engine::logical::LogicalPlan;
+use lambada::engine::{AggExpr, AggFunc, RecordBatch, Scalar};
 use lambada::sim::{Cloud, CloudConfig, InjectedFault, LinkFault, Simulation};
 use lambada::workloads::{q1, stage_real, StageOptions};
 
@@ -76,6 +77,90 @@ fn oom_is_reported_not_silent() {
         }
         other => panic!("expected a worker error report, got {other}"),
     }
+}
+
+/// Run `plan` over a small staged LINEITEM + ORDERS (8 + 4 files) under
+/// `config` and return the driver's error. Consumer fleets are pinned to
+/// one worker by the callers, so the consumer holds every producer's
+/// output while each producer holds only its own files' share.
+fn consumer_error(config: LambadaConfig, plan: impl FnOnce(&Lambada) -> LogicalPlan) -> CoreError {
+    let sim = Simulation::new();
+    let cloud = Cloud::new(&sim, CloudConfig::default());
+    let li = stage_real(
+        &cloud,
+        "tpch",
+        "lineitem",
+        StageOptions { scale: 0.01, num_files: 8, row_groups_per_file: 2, seed: 21 },
+    );
+    let orders = lambada::workloads::stage_real_orders(
+        &cloud,
+        "tpch",
+        "orders",
+        lambada::workloads::OrdersStageOptions {
+            rows: li.total_rows,
+            num_files: 4,
+            row_groups_per_file: 2,
+            seed: 21,
+        },
+    );
+    let mut system = Lambada::install(&cloud, config);
+    system.register_table(li);
+    system.register_table(orders);
+    let plan = plan(&system);
+    sim.block_on(async move { system.run_query(&plan).await.unwrap_err() })
+}
+
+fn assert_oom(err: CoreError, what: &str) {
+    match err {
+        CoreError::Worker { message, .. } => {
+            assert!(message.contains("out of memory"), "got: {message}");
+            assert!(message.contains(what), "got: {message}");
+        }
+        other => panic!("expected a worker error report, got {other}"),
+    }
+}
+
+#[test]
+fn oom_in_join_build_side_is_reported() {
+    let config = LambadaConfig { memory_mib: 2, join_workers: Some(1), ..LambadaConfig::default() };
+    let err = consumer_error(config, |_| lambada::workloads::q4("lineitem", "orders"));
+    assert_oom(err, "build-side hash table");
+}
+
+#[test]
+fn oom_in_sort_partition_is_reported() {
+    let config = LambadaConfig {
+        memory_mib: 1,
+        sort: SortStrategy::Exchange { workers: Some(1) },
+        ..LambadaConfig::default()
+    };
+    let err = consumer_error(config, |system| {
+        let df = system.from_table("lineitem").unwrap();
+        let cols = vec![
+            (df.col("l_orderkey").unwrap(), "l_orderkey"),
+            (df.col("l_extendedprice").unwrap(), "l_extendedprice"),
+        ];
+        df.select(cols).unwrap().sort_by(&["l_extendedprice"]).unwrap().build()
+    });
+    assert_oom(err, "sort partition");
+}
+
+#[test]
+fn oom_in_merged_agg_state_is_reported() {
+    let config = LambadaConfig {
+        memory_mib: 1,
+        agg: AggStrategy::Exchange { workers: Some(1) },
+        ..LambadaConfig::default()
+    };
+    let err = consumer_error(config, |system| {
+        let df = system.from_table("lineitem").unwrap();
+        let key = df.col("l_orderkey").unwrap();
+        let qty = df.col("l_quantity").unwrap();
+        df.aggregate(vec![(key, "l_orderkey")], vec![AggExpr::new(AggFunc::Sum, Some(qty), "qty")])
+            .unwrap()
+            .build()
+    });
+    assert_oom(err, "merged aggregate state");
 }
 
 #[test]

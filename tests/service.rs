@@ -9,8 +9,8 @@ use lambada::core::stage::{split_with, SplitOptions, StageKind, StageOutput};
 use lambada::core::verify::codes;
 use lambada::core::{
     inject_query_worker_faults, AggStrategy, CoreError, Lambada, LambadaConfig, QueryReport,
-    QueryService, ServiceConfig, SortStrategy, SpeculationConfig, TenantBudget, TransportKind,
-    WorkerTask,
+    QueryService, ServiceConfig, SortStrategy, SpeculationConfig, StageInput, StageSink,
+    TenantBudget, TransportKind, WorkerTask,
 };
 use lambada::engine::logical::LogicalPlan;
 use lambada::engine::{DataType, Df, Field, Optimizer, RecordBatch, Scalar, Schema};
@@ -19,6 +19,17 @@ use lambada::workloads::{
     q1, q12, q21, q3, q4, q5, q6, stage_real, stage_real_customer, stage_real_orders,
     CustomerStageOptions, OrdersStageOptions, StageOptions,
 };
+
+/// Workers of a scan stage whose rows leave on an exchange edge, or of a
+/// join stage — the fault targets of the fault-isolation tests.
+fn scan_to_edge_or_join(task: &WorkerTask) -> bool {
+    let WorkerTask::Stage(t) = task else { return false };
+    match t.input {
+        StageInput::Join(_) => true,
+        StageInput::Table { .. } => matches!(*t.sink, StageSink::Edge(_) | StageSink::Sort { .. }),
+        _ => false,
+    }
+}
 
 fn assert_batches_close(a: &RecordBatch, b: &RecordBatch) {
     assert_eq!(a.num_rows(), b.num_rows(), "row count");
@@ -185,11 +196,8 @@ fn concurrent_service_matches_serial_execution() {
     // by the barrier-aware probe, which has its own regression test in
     // `failure_injection.rs`.
     inject_query_worker_faults(&cloud, |p| {
-        (p.query == 1
-            && p.worker_id == 1
-            && p.attempt == 0
-            && matches!(p.task, WorkerTask::ScanExchange(_) | WorkerTask::Join(_)))
-        .then(|| InjectedFault::kill(Duration::from_millis(10)))
+        (p.query == 1 && p.worker_id == 1 && p.attempt == 0 && scan_to_edge_or_join(&p.task))
+            .then(|| InjectedFault::kill(Duration::from_millis(10)))
     });
 
     let reports = sim.block_on(async {
@@ -567,7 +575,7 @@ fn fault_in_one_query_does_not_delay_neighbors() {
                 (p.query == 2
                     && p.worker_id == 1
                     && p.attempt == 0
-                    && matches!(p.task, WorkerTask::ScanExchange(_) | WorkerTask::Join(_)))
+                    && scan_to_edge_or_join(&p.task))
                 .then(|| InjectedFault::kill(Duration::from_millis(10)))
             });
         }
@@ -702,4 +710,49 @@ fn direct_transport_shrinks_admission_estimate() {
         store.requests
     );
     assert!(direct.request_dollars < store.request_dollars);
+}
+
+/// Two different filter-only queries submitted at once: each collect
+/// fleet stores its rows under its own query's result keys, so neither
+/// reads the other's — the rows match running them one after the other.
+#[test]
+fn concurrent_filter_queries_keep_their_own_rows() {
+    let plans = |system: &Lambada| {
+        let df = system.from_table("lineitem").unwrap();
+        let qty = df.col("l_quantity").unwrap();
+        vec![
+            df.clone().filter(qty.clone().lt(lambada::engine::lit_f64(3.0))).unwrap().build(),
+            df.filter(qty.gt(lambada::engine::lit_f64(45.0))).unwrap().build(),
+        ]
+    };
+
+    let sim = Simulation::new();
+    let (_cloud, system) = staged_lineitem(&sim);
+    let serial_plans = plans(&system);
+    let serial: Vec<RecordBatch> = sim.block_on(async move {
+        let mut out = Vec::new();
+        for plan in &serial_plans {
+            out.push(system.run_query(plan).await.unwrap().batch);
+        }
+        out
+    });
+    assert!(serial.iter().all(|b| b.num_rows() > 0));
+    assert_ne!(serial[0].num_rows(), serial[1].num_rows());
+
+    let sim = Simulation::new();
+    let (_cloud, system) = staged_lineitem(&sim);
+    let concurrent_plans = plans(&system);
+    let service = QueryService::new(system);
+    let concurrent: Vec<RecordBatch> = sim.block_on(async {
+        let handles: Vec<_> =
+            concurrent_plans.iter().map(|plan| service.submit("adhoc", plan)).collect();
+        let mut out = Vec::new();
+        for h in handles {
+            out.push(h.await.unwrap().batch);
+        }
+        out
+    });
+    for (c, s) in concurrent.iter().zip(&serial) {
+        assert_batches_close(c, s);
+    }
 }

@@ -1317,9 +1317,23 @@ struct Collected {
     backup_invocations: u64,
 }
 
-/// Poll the result queue until all workers reported (§3.3). Like the
-/// invoker, the driver polls from a small thread pool — with thousands
-/// of workers a single serial receive loop would dominate query latency.
+/// Poll the result queue until every worker reported (§3.3). Like the
+/// invoker, the driver polls from a small pool — with thousands of
+/// workers a single serial receive loop would dominate query latency.
+///
+/// Collection runs in rounds. A round issues `min(16, ⌈W/10⌉)` long-poll
+/// receives at once and hands each receive's messages to the collector
+/// the moment that receive returns; the round ends when all of its
+/// receives have returned, and only then does the next round start and
+/// do the watchers below run. Every worker first heard in a round is
+/// given the round's end as its arrival span.
+///
+/// Collection returns as soon as every `worker_id` has a first result,
+/// even mid-round: the receives still long-polling are no longer awaited
+/// (they are not cancelled either). The result queue is deleted right
+/// after, so they drain nothing and end when their long-poll times out.
+/// Each receive is billed when it is issued, so those abandoned receives
+/// still count in the stage's and the query's cost.
 ///
 /// Between receive rounds the driver plays straggler watcher: once the
 /// configured quantile of the fleet has reported and the holdouts exceed
@@ -1373,14 +1387,21 @@ async fn collect_results(
                 missing_workers: workers - seen.len(),
             });
         }
-        let mut receives = Vec::with_capacity(pollers);
+        let (tx, mut rx) = lambada_sim::sync::mpsc::channel();
         for _ in 0..pollers {
             let sqs = cloud.driver_sqs();
             let queue = queue.to_string();
             let wait = config.receive_wait;
-            receives.push(cloud.handle.spawn(async move { sqs.receive(&queue, 10, wait).await }));
+            let tx = tx.clone();
+            // Detached: once collection is done, the send into the
+            // dropped receiver just fails.
+            cloud.handle.spawn(async move {
+                let _ = tx.send(sqs.receive(&queue, 10, wait).await);
+            });
         }
-        for r in lambada_sim::sync::join_all(receives).await {
+        drop(tx);
+        let mut arrived = 0;
+        while let Some(r) = rx.recv().await {
             for msg in r? {
                 let result = WorkerResult::decode(&msg)?;
                 if seen.contains(&result.worker_id) {
@@ -1404,10 +1425,15 @@ async fn collect_results(
                     continue;
                 }
                 seen.insert(result.worker_id);
-                spans.push((cloud.handle.now() - stage_start).as_secs_f64());
                 results.push(result);
+                arrived += 1;
+            }
+            if seen.len() == workers {
+                break; // the last first result: stop awaiting this round
             }
         }
+        let span = (cloud.handle.now() - stage_start).as_secs_f64();
+        spans.extend(std::iter::repeat_n(span, arrived));
 
         if spec.enabled && seen.len() < workers && seen.len() >= quorum {
             let mut sorted = spans.clone();

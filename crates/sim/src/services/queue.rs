@@ -146,7 +146,8 @@ impl SqsClient {
 
     /// Receive up to `max` messages, long-polling up to `wait` if the queue
     /// is empty. Every call — including ones returning nothing — is a
-    /// billed request.
+    /// billed request, recorded when the call is issued: a caller that
+    /// stops awaiting a long-poll has still paid for it.
     pub async fn receive(
         &self,
         queue: &str,
@@ -154,8 +155,8 @@ impl SqsClient {
         wait: Duration,
     ) -> Result<Vec<Vec<u8>>, SqsError> {
         let q = self.svc.queue(queue)?;
-        self.svc.handle.sleep(self.extra_latency + self.svc.latency()).await;
         self.svc.billing.record(CostItem::SqsRequests, 1.0);
+        self.svc.handle.sleep(self.extra_latency + self.svc.latency()).await;
         let deadline = self.svc.handle.now() + wait;
         let max = max.min(self.svc.cfg.max_batch);
         loop {
@@ -238,6 +239,21 @@ mod tests {
         assert!(msgs.is_empty());
         assert_eq!(billing.units(CostItem::SqsRequests), 1.0);
         assert!(sim.now().as_secs_f64() >= 1.0);
+    }
+
+    #[test]
+    fn receive_is_billed_when_issued() {
+        // A caller that stops awaiting a long-poll has still paid for it.
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let (svc, _, billing) = setup(&sim);
+        svc.create_queue("q");
+        let far = svc.client(Duration::from_secs(1));
+        sim.block_on(async move {
+            h.spawn(async move { far.receive("q", 10, Duration::from_secs(5)).await });
+            h.sleep(Duration::from_millis(500)).await;
+        });
+        assert_eq!(billing.units(CostItem::SqsRequests), 1.0, "billed before the reply");
     }
 
     #[test]

@@ -195,6 +195,63 @@ fn query_cost_is_dominated_by_lambda_compute() {
     assert!(report.cost.units(CostItem::SqsRequests) >= 6.0, "one result per worker");
 }
 
+/// Q6 run alone on a fresh cloud over `num_files` real files.
+struct Q6Alone {
+    report: lambada::core::QueryReport,
+    /// Virtual instant the query started.
+    start: lambada::sim::SimTime,
+    /// The billing ledger just before the query started.
+    billed_before: lambada::sim::BillingSnapshot,
+    cloud: Cloud,
+}
+
+fn q6_alone(sim: &Simulation, num_files: usize) -> Q6Alone {
+    let cloud = Cloud::new(sim, CloudConfig::default());
+    let opts = StageOptions { num_files, ..stage_opts(0.002, 17) };
+    let spec = stage_real(&cloud, "tpch", "lineitem", opts);
+    let mut system = Lambada::install(&cloud, LambadaConfig::default());
+    system.register_table(spec);
+    let plan = lambada::workloads::q6("lineitem");
+    let start = sim.now();
+    let billed_before = cloud.billing.snapshot();
+    let report = sim.block_on(async move { system.run_query(&plan).await.unwrap() });
+    Q6Alone { report, start, billed_before, cloud }
+}
+
+#[test]
+fn collection_ends_when_the_last_worker_reports() {
+    // Fleets of 11+ workers poll the result queue with several receives
+    // per round; once the last report is drained, the driver must not
+    // sit out the other receives' long-polls before finishing.
+    for num_files in [6, 24, 40] {
+        let sim = Simulation::new();
+        let run = q6_alone(&sim, num_files);
+        assert_eq!(run.report.workers, num_files);
+        let last_exec_end = run
+            .cloud
+            .trace
+            .spans("faas_exec")
+            .iter()
+            .map(|e| e.end.as_secs_f64())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let tail = run.start.as_secs_f64() + run.report.latency_secs - last_exec_end;
+        assert!(tail < 0.1, "{num_files} files: {tail:.3} s between last worker and result");
+    }
+}
+
+#[test]
+fn abandoned_result_receives_are_billed_to_the_query() {
+    // Receives the driver stops awaiting keep long-polling after the
+    // query returns; their requests must already be in its cost.
+    let sim = Simulation::new();
+    let run = q6_alone(&sim, 40);
+    let wait = LambadaConfig::default().receive_wait;
+    sim.block_on(sim.handle().sleep(wait * 2));
+    let billed = run.cloud.billing.snapshot().since(&run.billed_before);
+    assert!(run.report.cost.units(CostItem::SqsRequests) > 40.0, "40 reports + receives");
+    assert_eq!(run.report.cost.units(CostItem::SqsRequests), billed.units(CostItem::SqsRequests));
+}
+
 #[test]
 fn q3_group_by_runs_repartitioned_and_matches_reference() {
     // The Q3-style join + high-cardinality group-by must execute as a
